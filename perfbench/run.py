@@ -26,7 +26,7 @@ WORKLOADS = ("lqo-sweep", "job-exec", "plan-serve")
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The driver's command line."""
+    """The benchmark's command line: workload, seed, seconds, trace flag."""
     parser = argparse.ArgumentParser(prog="perfbench/run.py", description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
