@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import threading
@@ -63,6 +64,22 @@ def peak_rss_mb() -> float:
     return max(own, children) / 1024.0
 
 
+def cpu_s(pid: int | None = None) -> float:
+    """CPU seconds (user + system) spent so far.
+
+    Without ``pid``: this process and every child it has waited for.  With
+    ``pid``: that running process, read from ``/proc`` (Linux, 10 ms ticks).
+    CPU time leaves out the time a process waits for a core, which on
+    machines shared with other tenants moves wall-clock times by half.
+    """
+    if pid is None:
+        own = resource.getrusage(resource.RUSAGE_SELF)
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
 #: Iterations of the speed probe's loop.
 PROBE_ITERATIONS = 100_000
 
@@ -70,20 +87,21 @@ PROBE_ITERATIONS = 100_000
 #: Xeon core with the other core idle); the unit of the normalized times.
 PROBE_REFERENCE_S = 0.008
 
-#: Seconds between samples of the background speed probe.
-PROBE_INTERVAL_S = 0.5
+#: Seconds between samples of the background probe process.
+PROBE_INTERVAL_S = 0.25
+
+#: Seconds a sample may lie outside a window and still count for it: an
+#: in-thread sample taken right before or after the measured work.
+PROBE_SLACK_S = 0.1
 
 
-def probe_speed(repeats: int = 3) -> float:
+def probe_speed(repeats: int = 1) -> float:
     """How much slower than the reference machine this CPU runs right now.
 
     Times a fixed pure-Python loop in this thread's CPU time (so waiting for
-    the CPU does not count) and returns the median over ``repeats`` divided
-    by ``PROBE_REFERENCE_S``: 1.2 means the CPU currently runs the loop 20%
-    slower than the reference.  The machines the benchmark runs on share
-    their cores with other tenants, and their speed drifts by a fifth within
-    a minute; dividing a measured time by the factor measured beside it
-    removes most of that drift.
+    the CPU does not count) and divides the median of ``repeats`` by
+    ``PROBE_REFERENCE_S``: 1.2 means the CPU currently runs the loop 20%
+    slower than the reference.
     """
     samples = []
     for _ in range(repeats):
@@ -95,43 +113,70 @@ def probe_speed(repeats: int = 3) -> float:
     return sorted(samples)[len(samples) // 2] / PROBE_REFERENCE_S
 
 
-class ProbeProcess:
-    """Samples :func:`probe_speed` in a separate process, with timestamps.
+class SpeedProbe:
+    """Timestamped :func:`probe_speed` samples and the factor over a time window.
 
-    A process of its own, so that the probe never holds this process's
-    interpreter lock while the measured work runs.  ``factor(start, end)``
-    is the median of the samples taken between two ``time.perf_counter``
-    readings (the clock is shared by the processes of one machine).
+    The machines the benchmark runs on share their cores with other tenants,
+    and a core's speed drifts by a fifth within a minute; a time divided by
+    ``factor(start, end)``, the speed sampled while it was measured, loses
+    most of that drift.  Samples come from one of two sources:
+
+    - ``sample()`` probes in the calling thread.  Single-threaded work calls
+      it between its measured pieces, on the core the work runs on: with the
+      probe in another process, the spread of ``job-exec``'s per-query p50
+      over seven runs was 17%, with it in the thread 7%.
+    - ``with probe.background():`` samples every ``PROBE_INTERVAL_S`` in a
+      separate process while work runs on several processes, so that the
+      probe never holds the interpreter lock of the measured process.
     """
 
-    def __enter__(self) -> "ProbeProcess":
+    def __init__(self) -> None:
+        #: ``(time.perf_counter(), factor)`` pairs; the clock is shared by
+        #: the processes of one machine.
         self.samples: list[tuple[float, float]] = []
-        self._proc = subprocess.Popen(
+
+    def sample(self) -> None:
+        """Probe in this thread (the median of three loops)."""
+        started = time.perf_counter()
+        factor = probe_speed(3)
+        self.samples.append(((started + time.perf_counter()) / 2.0, factor))
+
+    @contextmanager
+    def background(self) -> Iterator["SpeedProbe"]:
+        """Sample in a separate process for the duration of the block."""
+        proc = subprocess.Popen(
             [sys.executable, "-c", "from perfbench.common import probe_loop; probe_loop()"],
             cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT)},
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._proc.stdin.close()
-        out = self._proc.stdout.read()
-        self._proc.stdout.close()
-        self._proc.wait()
-        self.samples = [(float(t), float(f)) for t, f in (line.split() for line in out.splitlines())]
+        try:
+            yield self
+        finally:
+            proc.stdin.close()
+            out = proc.stdout.read()
+            proc.stdout.close()
+            proc.wait()
+            self.samples += [(float(t), float(f)) for t, f in (line.split() for line in out.splitlines())]
 
     def factor(self, start: float, end: float) -> float:
-        """Median speed factor sampled between ``start`` and ``end`` (1.0 without samples)."""
-        inside = sorted(f for t, f in self.samples if start <= t <= end)
-        return inside[len(inside) // 2] if inside else 1.0
+        """Median factor sampled between two ``time.perf_counter`` readings.
+
+        Samples up to ``PROBE_SLACK_S`` outside the window count; without
+        any, the sample nearest to the window's middle; without samples, 1.0.
+        """
+        inside = [f for t, f in self.samples if start - PROBE_SLACK_S <= t <= end + PROBE_SLACK_S]
+        if inside:
+            return statistics.median(inside)
+        middle = (start + end) / 2.0
+        return min(self.samples, key=lambda s: abs(s[0] - middle))[1] if self.samples else 1.0
 
 
 def probe_loop() -> None:
-    """Body of :class:`ProbeProcess`: print ``time factor`` lines until stdin closes."""
+    """Body of :meth:`SpeedProbe.background`: print ``time factor`` lines until stdin closes."""
     stop = threading.Event()
     threading.Thread(target=lambda: (sys.stdin.read(), stop.set()), daemon=True).start()
     while not stop.wait(PROBE_INTERVAL_S):
-        print(time.perf_counter(), probe_speed(1), flush=True)
+        print(time.perf_counter(), probe_speed(), flush=True)
 
 
 @contextmanager

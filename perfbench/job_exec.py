@@ -24,7 +24,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from perfbench.common import Outcome, peak_rss_mb, probe_speed, stopwatch
+from perfbench.common import Outcome, SpeedProbe, cpu_s, peak_rss_mb
 from perfbench.layers import PER_LAYER, install_in_process, install_planning, layer_shares, span_metrics
 from perfbench.stats import describe, summarize
 from perfbench.trace import Tracer, concat
@@ -74,21 +74,20 @@ def plan_queries(scale: float, query_ids: list[str], traced: bool) -> tuple[dict
     return plans, tracer.snapshot()
 
 
-def set_up(scale: float, traced: bool) -> tuple[object, object, dict, list[list], float]:
-    """Build the database and plan every query; returns the timed set-up."""
+def set_up(scale: float, traced: bool) -> tuple[object, object, dict, list[list]]:
+    """Build the database and plan every query (the planning processes have ended on return)."""
     from repro.storage.registry import DatabaseRegistry
     from repro.workloads import build_job_workload
 
-    with stopwatch() as elapsed:
-        database = DatabaseRegistry().get(_spec(scale))
-        workload = build_job_workload(database.schema)
-        ids = workload.query_ids()
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=PLANNERS, mp_context=context) as pool:
-            futures = [pool.submit(plan_queries, scale, ids[i::PLANNERS], traced) for i in range(PLANNERS)]
-            parts = [future.result() for future in futures]
+    database = DatabaseRegistry().get(_spec(scale))
+    workload = build_job_workload(database.schema)
+    ids = workload.query_ids()
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=PLANNERS, mp_context=context) as pool:
+        futures = [pool.submit(plan_queries, scale, ids[i::PLANNERS], traced) for i in range(PLANNERS)]
+        parts = [future.result() for future in futures]
     plans = {qid: result for part_plans, _ in parts for qid, result in part_plans.items()}
-    return database, workload, plans, concat(*(part_spans for _, part_spans in parts)), elapsed[0]
+    return database, workload, plans, concat(*(part_spans for _, part_spans in parts))
 
 
 def warm_up(protocol, workload, plans: dict) -> None:
@@ -97,18 +96,16 @@ def warm_up(protocol, workload, plans: dict) -> None:
         protocol.measure_plan(query.bound, plans[query.query_id].plan)
 
 
-def timed_passes(protocol, workload, plans: dict, seconds: float, outcome: Outcome) -> dict:
+def timed_passes(protocol, workload, plans: dict, seconds: float, outcome: Outcome, probe: SpeedProbe) -> dict:
     """``seconds / PASS_S`` whole passes over the workload (at least one).
 
-    The CPU's speed is probed between passes; each pass's times are divided
-    by the mean of the probes on either side of it (``norm_*``).
+    The speed is probed in this thread before and after every pass;
+    :func:`normalize` then adds the speed-normalized figures.
     """
-    latencies: list[float] = []
-    normalized: list[float] = []
     last_times: dict[str, list[float]] = {}
-    wall_s = norm_wall_s = 0.0
+    windows = []
     passes = max(1, round(seconds / PASS_S))
-    speed = probe_speed()
+    probe.sample()
     for _ in range(passes):
         protocol.engine.timing.reseed(NOISE_SEED)
         pass_ms: list[float] = []
@@ -123,16 +120,20 @@ def timed_passes(protocol, workload, plans: dict, seconds: float, outcome: Outco
                 continue
             pass_ms.append((time.perf_counter() - begin) * 1000.0)
             last_times[query.query_id] = measured.execution_times_ms
-        elapsed = time.perf_counter() - started
-        after = probe_speed()
-        factor = (speed + after) / 2.0
-        speed = after
-        latencies += pass_ms
-        normalized += [ms / factor for ms in pass_ms]
-        wall_s += elapsed
-        norm_wall_s += elapsed / factor
-    return {"wall_s": wall_s, "norm_wall_s": norm_wall_s, "latencies_ms": latencies,
-            "norm_latencies_ms": normalized, "passes": passes, "times": last_times}
+        windows.append((started, time.perf_counter(), pass_ms))
+        probe.sample()
+    return {"windows": windows, "passes": passes, "times": last_times}
+
+
+def normalize(region: dict, probe: SpeedProbe) -> None:
+    """Add a region's totals and latencies, measured and divided by each pass's speed factor (``norm_*``)."""
+    region.update(wall_s=0.0, norm_wall_s=0.0, latencies_ms=[], norm_latencies_ms=[])
+    for started, ended, pass_ms in region["windows"]:
+        factor = probe.factor(started, ended)
+        region["wall_s"] += ended - started
+        region["norm_wall_s"] += (ended - started) / factor
+        region["latencies_ms"] += pass_ms
+        region["norm_latencies_ms"] += [ms / factor for ms in pass_ms]
 
 
 def check_oracle(outcome: Outcome, database, workload, plans: dict, times: dict) -> None:
@@ -166,19 +167,28 @@ def check_oracle(outcome: Outcome, database, workload, plans: dict, times: dict)
 
 
 def run(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE) -> None:
-    """Untraced run.  The workload is fixed; ``seed`` does not change it."""
+    """Untraced run.  The workload is fixed; ``seed`` does not change it.
+
+    ``setup_s`` is the CPU time of set-up and warm-up pass in this process
+    and the planning processes, speed-normalized.
+    """
     from repro.core.execution_protocol import ExecutionProtocol
 
-    database, workload, plans, _, setup_s = set_up(scale, traced=False)
-    protocol = ExecutionProtocol(database)
-    with stopwatch() as warm_s:
+    probe = SpeedProbe()
+    with probe.background():
+        cpu_before, started = cpu_s(), time.perf_counter()
+        database, workload, plans, _ = set_up(scale, traced=False)
+        protocol = ExecutionProtocol(database)
         warm_up(protocol, workload, plans)
-    region = timed_passes(protocol, workload, plans, seconds, outcome)
+        setup_cpu, ended = cpu_s() - cpu_before, time.perf_counter()
+    setup_speed = probe.factor(started, ended)
+    region = timed_passes(protocol, workload, plans, seconds, outcome, probe)
+    normalize(region, probe)
     check_oracle(outcome, database, workload, plans, region["times"])
     raw = summarize(region["latencies_ms"])
     summary = summarize(region["norm_latencies_ms"])
     count = len(region["latencies_ms"])
-    outcome.put("setup_s", setup_s + warm_s[0], "s")
+    outcome.put("setup_s", setup_cpu / setup_speed, "s")
     outcome.put("ops_per_s", count / region["norm_wall_s"], "1/s")
     outcome.put("latency_p50_ms", summary["p50"], "ms")
     outcome.put("latency_tail_ms", summary["tail"], "ms")
@@ -186,6 +196,7 @@ def run(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE) -> No
     outcome.note(f"job-exec: {region['passes']} passes of {len(workload.queries)} queries in "
                  f"{region['wall_s']:.3f} s ({count / region['wall_s']:.2f} queries/s measured); "
                  f"per query {describe(raw)} measured, {describe(summary)} normalized")
+    outcome.note(f"set-up: {ended - started:.3f} s measured, {setup_cpu:.3f} CPU s at speed factor {setup_speed:.3f}")
     outcome.details["latencies_ms"] = region["latencies_ms"]
 
 
@@ -193,16 +204,19 @@ def run_traced(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE
     """Traced run: half the seconds untraced, half traced; the gap is the overhead."""
     from repro.core.execution_protocol import ExecutionProtocol
 
-    database, workload, plans, setup_spans, _ = set_up(scale, traced=True)
+    database, workload, plans, setup_spans = set_up(scale, traced=True)
     protocol = ExecutionProtocol(database)
     warm_up(protocol, workload, plans)
-    plain = timed_passes(protocol, workload, plans, seconds / 2, outcome)
     tracer = Tracer()
+    probe = SpeedProbe()
+    plain = timed_passes(protocol, workload, plans, seconds / 2, outcome, probe)
     install_in_process(tracer)
     try:
-        traced = timed_passes(protocol, workload, plans, seconds / 2, outcome)
+        traced = timed_passes(protocol, workload, plans, seconds / 2, outcome, probe)
     finally:
         tracer.uninstall()
+    normalize(plain, probe)
+    normalize(traced, probe)
     check_oracle(outcome, database, workload, plans, traced["times"])
     region_spans = tracer.snapshot()
     metrics = span_metrics(concat(setup_spans, region_spans))

@@ -23,6 +23,7 @@ cell is missing from the store.  Failed cells count in ``failed``.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import shutil
 import threading
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from perfbench.common import OUT, Outcome, ProbeProcess, peak_rss_mb, probe_speed, stopwatch
+from perfbench.common import OUT, Outcome, SpeedProbe, cpu_s, peak_rss_mb, stopwatch
 from perfbench.layers import METHODS, PER_LAYER, install_in_process, layer_shares, span_metrics
 from perfbench.stats import describe, summarize
 from perfbench.trace import END, ERROR, NAME, PARENT, START, TAG, TRACE, Tracer
@@ -69,7 +70,10 @@ GRID_S = 25.0
 POLL_S = 0.02
 
 #: Set-up repetitions per run (``setup_s`` is their median).
-SETUP_REPEATS = 15
+SETUP_REPEATS = 30
+
+#: Cells that fail at the default scale and subset, with their cause.
+KNOWN_FAILURES = json.loads((Path(__file__).resolve().parent / "known_failures.json").read_text())["failed"]
 
 
 def build_sweep_workload(schema, family_step: int = FAMILY_STEP):
@@ -125,15 +129,13 @@ def cell_name(task) -> str:
     return f"{task.method}/{task.split.name}"
 
 
-def set_up(
-    split_seed: int = SPLIT_SEED, scale: float = SCALE, family_step: int = FAMILY_STEP
-) -> tuple[Sweep, list[float]]:
+def set_up(scale: float = SCALE, family_step: int = FAMILY_STEP) -> tuple[Sweep, list[float]]:
     """Build the database, the subset and the splits; repeated, timed.
 
     Every repetition builds the database in a fresh registry; the last one
     also materializes it in the process registry, which forked pool workers
-    inherit.  Returns the sweep and each repetition's seconds, divided by
-    the mean of the speed probes taken on either side of it.
+    inherit.  Returns the sweep and each repetition's CPU seconds, divided
+    by the speed probed in this thread before and after it.
     """
     from repro.config import SIMULATION_CONFIG
     from repro.core.experiment import ExperimentConfig
@@ -143,17 +145,18 @@ def set_up(
 
     register_workload(family_step)
     times = []
-    speed = probe_speed()
+    probe = SpeedProbe()
+    probe.sample()
     for repeat in range(SETUP_REPEATS):
-        with stopwatch() as elapsed:
-            spec = DatabaseSpec.create("imdb", scale=scale, seed=42, config=SIMULATION_CONFIG)
-            registry = get_process_registry() if repeat == SETUP_REPEATS - 1 else DatabaseRegistry()
-            database = registry.get(spec)
-            workload = build_sweep_workload(database.schema, family_step)
-            splits = [generate_splits(workload, s, n_splits=1, base_seed=split_seed)[0] for s in SAMPLINGS]
-        after = probe_speed()
-        times.append(elapsed[0] * 2.0 / (speed + after))
-        speed = after
+        cpu_before, started = cpu_s(), time.perf_counter()
+        spec = DatabaseSpec.create("imdb", scale=scale, seed=42, config=SIMULATION_CONFIG)
+        registry = get_process_registry() if repeat == SETUP_REPEATS - 1 else DatabaseRegistry()
+        database = registry.get(spec)
+        workload = build_sweep_workload(database.schema, family_step)
+        splits = [generate_splits(workload, s, n_splits=1, base_seed=SPLIT_SEED)[0] for s in SAMPLINGS]
+        cpu, ended = cpu_s() - cpu_before, time.perf_counter()
+        probe.sample()
+        times.append(cpu / probe.factor(started, ended))
     return Sweep(spec, workload, splits, ExperimentConfig(optimizer_kwargs=OPTIMIZER_KWARGS)), times
 
 
@@ -195,8 +198,18 @@ def run_pool_grid(sweep: Sweep, store_dir: Path) -> dict:
             "runner": runner, "tasks": tasks}
 
 
-def check_grid(outcome: Outcome, grid: dict) -> None:
-    """Each stored cell covers exactly its split's test queries with finite timings."""
+def expected_failures(scale: float, family_step: int) -> set[str]:
+    """Cells known to fail: :data:`KNOWN_FAILURES` at the default grid, none at others."""
+    return set(KNOWN_FAILURES) if (scale, family_step) == (SCALE, FAMILY_STEP) else set()
+
+
+def check_grid(outcome: Outcome, grid: dict, expected: set[str]) -> None:
+    """Each stored cell covers its split's test queries with finite timings; only expected cells fail.
+
+    The pool reports only the first failing cell's exception, so a cell
+    failing for another reason beside a known failure shows as a failed
+    cell that is not ``expected``.
+    """
     runner = grid["runner"]
     store = runner.result_store
     for task in grid["tasks"]:
@@ -210,10 +223,11 @@ def check_grid(outcome: Outcome, grid: dict) -> None:
         outcome.check(ids == list(task.split.test_ids), f"{name}: test queries differ from the split")
         outcome.check(all(math.isfinite(t.end_to_end_ms) for t in result.timings),
                       f"{name}: non-finite timing")
-    failed = [cell_name(t) for t in grid["tasks"] if cell_name(t) not in grid["done"]]
+    failed = {cell_name(t) for t in grid["tasks"]} - set(grid["done"])
+    outcome.check(failed == expected, f"cells {sorted(failed)} failed, expected {sorted(expected)}")
     if failed:
         outcome.check(isinstance(grid["error"], MemoryError),
-                      f"cells {failed} failed with {grid['error']!r}, not MemoryError")
+                      f"cells {sorted(failed)} failed with {grid['error']!r}, not MemoryError")
 
 
 def fresh_dir(name: str) -> Path:
@@ -229,14 +243,15 @@ def run(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE, famil
 
     The grid is fixed (see ``SPLIT_SEED``); ``seed`` does not change it.
     """
-    sweep, setup_times = set_up(SPLIT_SEED, scale, family_step)
+    sweep, setup_times = set_up(scale, family_step)
     outcome.details["setup_s"] = setup_times
     grids = []
     for number in range(max(1, round(seconds / GRID_S))):
-        with ProbeProcess() as probe:
+        probe = SpeedProbe()
+        with probe.background():
             grid = run_pool_grid(sweep, fresh_dir(f"lqo-sweep-{seed}-grid{number}"))
         grid["speed"] = probe.factor(grid["started"], grid["started"] + grid["makespan_s"])
-        check_grid(outcome, grid)
+        check_grid(outcome, grid, expected_failures(scale, family_step))
         grids.append(grid)
         outcome.attempted += len(grid["tasks"])
         outcome.failed += len(grid["tasks"]) - len(grid["done"])
@@ -282,7 +297,7 @@ def run_traced(
     """
     from repro.runtime.parallel import ParallelExperimentRunner
 
-    sweep, _ = set_up(SPLIT_SEED, scale, family_step)
+    sweep, _ = set_up(scale, family_step)
     tracer = Tracer()
     install_in_process(tracer)
     tracer.install(ParallelExperimentRunner, "run_tasks", "runtime.parallel.run_tasks")
@@ -294,13 +309,17 @@ def run_traced(
                 with tracer.trace(cell_name(task)):
                     try:
                         serial.run_tasks([task])
-                    except MemoryError as exc:
+                    except Exception as exc:  # a failed cell; checked below, the grid goes on
                         failures[cell_name(task)] = f"{type(exc).__name__}: {exc}"
 
     finally:
         tracer.uninstall()
     tracer.dump(OUT / f"lqo-sweep-{seed}-spans.json")
     spans = tracer.snapshot()
+    expected = expected_failures(scale, family_step)
+    outcome.check(set(failures) == expected, f"serial cells {sorted(failures)} failed, expected {sorted(expected)}")
+    outcome.check(all(cause.startswith("MemoryError") for cause in failures.values()),
+                  f"serial cells failed with other errors than MemoryError: {failures}")
     for span in spans:
         if span[NAME] == "executor.execute" and span[ERROR]:
             failures[span[TRACE]] = f"executor.execute of query {span[TAG][2]}: {failures.get(span[TRACE])}"
@@ -312,7 +331,7 @@ def run_traced(
     grid = run_pool_grid(sweep, fresh_dir(f"lqo-sweep-{seed}-traced-pool"))
     outcome.attempted += len(grid["tasks"])
     outcome.failed += len(grid["tasks"]) - len(grid["done"])
-    check_grid(outcome, grid)
+    check_grid(outcome, grid, expected)
     for task in grid["tasks"]:
         name = cell_name(task)
         path = serial.result_store.path_for(serial.task_key(task), serial.task_fingerprint(task))

@@ -17,15 +17,20 @@ fails, and the generator's lateness does not grow.
 
 The latency metrics are the p50 and ``TAIL_PCT`` percentile of the
 server's own request latency (the figures its stats frame reports) over the
-``TAIL_RATES`` steps; its p99 is printed beside them.  The latencies from due time that the client sees are printed per
-step but not bounded: on shared two-core machines their p50 swung between
-1.6 and 6 ms and their p99 between 17 and 90 ms across identical runs,
-set by scheduling outside the program, while the server's p50 stayed
-within 0.56-0.63 ms.  ``ops_per_s`` is the
-rate the server sustains over the top two steps, which offer more than it
-can serve.  The highest step that holds is reported beside it; as a step
-function of the ladder it flips between adjacent steps when the machine's
-speed drifts, which no bound on a metric could absorb.
+``TAIL_RATES`` steps; its p99 is printed beside them.  The latencies from
+due time that the client sees are printed per step but not bounded: on
+shared two-core machines their p50 swung between 1.6 and 6 ms and their p99
+between 17 and 90 ms across identical runs, set by scheduling outside the
+program, while the server's p50 stayed within 0.56-0.63 ms.
+
+``ops_per_s`` is the number of requests served per CPU second that the
+clients and the server spend over the ladder (its inverse is the CPU cost
+of one request, both sides together).  The wall-clock rate sustained over
+the top two steps and the highest step that holds are printed beside it;
+when the host gave the benchmark half its CPU for a while, the wall-clock
+rate halved, and the highest step that holds flips between adjacent steps
+as the machine's speed drifts.  ``setup_s`` is likewise the CPU time of set-up in both
+processes.  Both are divided by the speed factor sampled beside them.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import subprocess
 import sys
 import time
 
-from perfbench.common import OUT, ROOT, SRC, Outcome, ProbeProcess, peak_rss_mb, stopwatch
+from perfbench.common import OUT, ROOT, SRC, Outcome, SpeedProbe, cpu_s, peak_rss_mb, stopwatch
 from perfbench.layers import PER_LAYER, layer_shares, span_metrics
 from perfbench.loadgen import POPULARITY_SEED, ZipfPopularity, run_open_loop, sql_pool
 from perfbench.stats import describe, percentile, ratio, summarize
@@ -57,8 +62,8 @@ POOL_SIZE = 4 * CACHE_ENTRIES
 #: Offered rates of the ladder, requests per second.
 LADDER = (200, 400, 800, 1600)
 
-#: Top ladder steps, above what the server can serve, whose completion rate
-#: is ``ops_per_s``.
+#: Top ladder steps, above what the server can serve, whose wall-clock
+#: completion rate is reported beside ``ops_per_s``.
 OVERLOADED_STEPS = 2
 
 #: The ladder rate of the generator-lateness and tracing-overhead figures.
@@ -174,9 +179,16 @@ def set_up(seed: int, spans_path=None) -> tuple[Server, object, list[str], ZipfP
     return server, database, pool, popularity, sum(r.ok for r in warm)
 
 
+def client_server_cpu_s(server: Server) -> float:
+    """CPU seconds of this process (the clients) and of the server so far."""
+    return cpu_s() + cpu_s(server.proc.pid)
+
+
 def run_ladder(server: Server, pool, popularity, seconds: float, outcome: Outcome) -> list[dict]:
     """Every ladder step in order; each step's records are kept for the checks.
 
+    Each step also records the CPU seconds the clients and the server spent
+    on it (``cpu_s``); :func:`apply_speed` adds the speed factors.
     """
     steps = []
     # The generator's own garbage collections would stall its senders for
@@ -185,21 +197,26 @@ def run_ladder(server: Server, pool, popularity, seconds: float, outcome: Outcom
     gc.freeze()
     gc.disable()
     try:
-        with ProbeProcess() as probe:
-            for rate in LADDER:
-                items = ladder_items(pool, popularity, rate, step_requests(seconds))
-                records = run_open_loop(client_factory(server.url), items, rate)
-                outcome.attempted += len(records)
-                outcome.failed += sum(not r.ok for r in records)
-                report = step_report(rate, records)
-                report.update(records=records, items=items)
-                steps.append(report)
-        for step in steps:
-            step["speed"] = probe.factor(min(r.due for r in step["records"]), max(r.done for r in step["records"]))
+        for rate in LADDER:
+            items = ladder_items(pool, popularity, rate, step_requests(seconds))
+            cpu_before = client_server_cpu_s(server)
+            records = run_open_loop(client_factory(server.url), items, rate)
+            cpu = client_server_cpu_s(server) - cpu_before
+            outcome.attempted += len(records)
+            outcome.failed += sum(not r.ok for r in records)
+            report = step_report(rate, records)
+            report.update(records=records, items=items, cpu_s=cpu)
+            steps.append(report)
     finally:
         gc.enable()
         gc.unfreeze()
     return steps
+
+
+def apply_speed(steps: list[dict], probe: SpeedProbe) -> None:
+    """Give every step the speed factor sampled while it ran."""
+    for step in steps:
+        step["speed"] = probe.factor(min(r.due for r in step["records"]), max(r.done for r in step["records"]))
 
 
 def check_service(outcome: Outcome, server: Server, database, steps: list[dict], sent_ok: int) -> dict:
@@ -242,32 +259,47 @@ def _e2e(outcome: Outcome, steps: list[dict]) -> None:
     speed = sum(step["speed"] for step in below) / len(below)
     samples = sorted(r.served.server_latency_ms for step in below for r in step["records"] if r.kind == "plan" and r.ok)
     server_latency = summarize(samples)
-    outcome.put("ops_per_s", sum(s["requests"] for s in overloaded)
-                / sum(s["span_s"] / s["speed"] for s in overloaded), "1/s")
+    served = sum(r.ok for step in steps for r in step["records"])
+    cpu = sum(step["cpu_s"] / step["speed"] for step in steps)
+    sustained = sum(s["requests"] for s in overloaded) / sum(s["span_s"] for s in overloaded)
+    outcome.put("ops_per_s", served / cpu, "1/s")
     outcome.put("latency_p50_ms", server_latency["p50"] / speed, "ms")
     outcome.put("latency_tail_ms", percentile(samples, TAIL_PCT) / speed, "ms")
+    outcome.note(f"requests per CPU second of clients + server: {outcome.metrics['ops_per_s'][0]:.1f} over the "
+                 f"ladder ({served} requests, {cpu:.3f} normalized CPU s)")
     outcome.note(f"highest ladder step that holds: {holding[-1] if holding else 'none'} qps; "
-                 f"sustained over the top {OVERLOADED_STEPS} steps: {outcome.metrics['ops_per_s'][0]:.1f} qps")
+                 f"sustained over the top {OVERLOADED_STEPS} steps: {sustained:.1f} qps measured")
     outcome.note(f"server latency at {' and '.join(map(str, TAIL_RATES))} qps {describe(server_latency)}, "
                  f"p{TAIL_PCT} {percentile(samples, TAIL_PCT):.4g} ms")
     for step in steps:
         outcome.note(f"step {step['rate']:>5} qps: achieved {step['achieved_qps']:.1f}, latency "
                      f"{describe(step['latency'])}; late {describe(step['late'])}, growth "
                      f"{step['late_growth_ms']:+.2f} ms; rejected {step['rejected']}, failed {step['failed']}"
-                     f" -> {'holds' if step['holds'] else 'does not hold'} (speed factor {step['speed']:.3f})")
+                     f" -> {'holds' if step['holds'] else 'does not hold'} (CPU {step['cpu_s']:.3f} s, "
+                     f"speed factor {step['speed']:.3f})")
 
 
 def run(seed: int, seconds: float, outcome: Outcome) -> None:
-    """Untraced run: set-up with warm-up, the ladder, then the service checks."""
-    with stopwatch() as setup_s:
+    """Untraced run: set-up with warm-up, the ladder, then the service checks.
+
+    ``setup_s`` is the CPU time set-up spends in this process and in the
+    server, speed-normalized.
+    """
+    probe = SpeedProbe()
+    with probe.background():
+        cpu_before, started = cpu_s(), time.perf_counter()
         server, database, pool, popularity, warmed = set_up(seed)
-    try:
-        steps = run_ladder(server, pool, popularity, seconds, outcome)
-        sent_ok = warmed + sum(r.ok for step in steps for r in step["records"] if r.kind == "plan")
-        check_service(outcome, server, database, steps, sent_ok)
-    finally:
-        server.stop()
-    outcome.put("setup_s", setup_s[0], "s")
+        try:
+            setup_cpu, ended = client_server_cpu_s(server) - cpu_before, time.perf_counter()
+            steps = run_ladder(server, pool, popularity, seconds, outcome)
+            sent_ok = warmed + sum(r.ok for step in steps for r in step["records"] if r.kind == "plan")
+            check_service(outcome, server, database, steps, sent_ok)
+        finally:
+            server.stop()
+    apply_speed(steps, probe)
+    setup_speed = probe.factor(started, ended)
+    outcome.put("setup_s", setup_cpu / setup_speed, "s")
+    outcome.note(f"set-up: {ended - started:.3f} s measured, {setup_cpu:.3f} CPU s at speed factor {setup_speed:.3f}")
     _e2e(outcome, steps)
     outcome.put("peak_rss_mb", peak_rss_mb(), "MB")
     outcome.note(f"pool {POOL_SIZE} queries, head {CACHE_ENTRIES} holds "
@@ -305,11 +337,13 @@ def run_traced(seed: int, seconds: float, outcome: Outcome) -> None:
         tracer.install(planclient, "recv_frame", "runtime.netqueue.recv_frame",
                        tag=lambda a, response, _: len(pickle.dumps(response)))
         try:
-            with stopwatch() as wall:
+            probe = SpeedProbe()
+            with probe.background(), stopwatch() as wall:
                 started = time.perf_counter()
                 steps = run_ladder(server, pool, popularity, seconds, outcome)
         finally:
             tracer.uninstall()
+        apply_speed(steps, probe)
         after = PlanClient(server.url, secret=SECRET).stats()
         sent_ok = warmed + sum(r.ok for step in steps for r in step["records"] if r.kind == "plan")
         check_service(outcome, server, database, steps, sent_ok)
@@ -322,7 +356,8 @@ def run_traced(seed: int, seconds: float, outcome: Outcome) -> None:
     fixed = next(step for step in steps if step["rate"] == FIXED_RATE)
     served = [r.served for r in fixed["records"] if r.kind == "plan" and r.ok]
     server_latency = summarize([s.server_latency_ms for s in served])
-    delta = {key: after["cache"][key] - before["cache"][key] for key in ("hits", "misses", "evictions", "invalidations")}
+    delta = {key: after["cache"][key] - before["cache"][key]
+             for key in ("hits", "misses", "evictions", "invalidations")}
     sizes = sorted(s[TAG] for s in client_spans if s[NAME] == "runtime.netqueue.recv_frame" and s[TAG] is not None)
     waits = [r.served.round_trip_ms - r.served.server_latency_ms
              for step in steps for r in step["records"] if r.kind == "plan" and r.ok]

@@ -4,13 +4,13 @@ from perfbench.loadgen import ZipfPopularity, sql_pool
 from perfbench.lqo_sweep import set_up
 
 
-def test_split_is_seed_deterministic():
-    """The same seed gives the same splits; another seed gives other ones."""
-    first = [s.fingerprint() for s in set_up(3, scale=0.02)[0].splits]
-    again = [s.fingerprint() for s in set_up(3, scale=0.02)[0].splits]
-    other = [s.fingerprint() for s in set_up(4, scale=0.02)[0].splits]
-    assert first == again
-    assert first != other
+def test_sweep_splits_are_fixed():
+    """Every set-up builds the same splits, one per sampling, with disjoint train and test queries."""
+    first = set_up(scale=0.02)[0].splits
+    again = set_up(scale=0.02)[0].splits
+    assert [s.fingerprint() for s in first] == [s.fingerprint() for s in again]
+    assert len({s.fingerprint() for s in first}) == len(first) == 3
+    assert all(s.test_ids and not set(s.train_ids) & set(s.test_ids) for s in first)
 
 
 def test_query_stream_and_zipf_draw_are_seed_deterministic(imdb_schema):
