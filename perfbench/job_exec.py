@@ -6,8 +6,10 @@ the PostgreSQL baseline's plans, which set-up builds once.  Scale 1.0 is the
 largest scale at which all baseline plans finish; at 1.5 and 2.0 the plans of
 24a and 31a-c ask for 4-295 GiB.
 
-Set-up plans the workload on two spawned processes (planning is twenty
-seconds of single-core work otherwise) and runs one untimed pass (the first
+Set-up plans the workload on two forked processes (planning is twenty
+seconds of single-core work otherwise; forked rather than spawned, because
+a spawned pool starts multiprocessing's resource tracker, which outlives the
+benchmark) and runs one untimed pass (the first
 pass in a process is a quarter slower than the rest); the timed region repeats whole
 passes over the queries for about the run's seconds, timing each query's
 protocol call (the number of passes follows from the seconds, not from the clock,
@@ -51,11 +53,11 @@ def _spec(scale: float):
     return DatabaseSpec.create("imdb", scale=scale, seed=42, config=SIMULATION_CONFIG)
 
 
-def plan_queries(scale: float, query_ids: list[str], traced: bool) -> tuple[dict, list[list]]:
-    """Plan ``query_ids`` with the baseline planner (runs in a set-up process).
+def plan_queries(scale: float, part: int, traced: bool) -> tuple[dict, list[list]]:
+    """Plan every ``PLANNERS``-th query from the ``part``-th on with the baseline planner.
 
-    Returns the planner results by query id and, when ``traced``, the spans
-    of the planning calls.
+    Runs in a set-up process.  Returns the planner results by query id and,
+    when ``traced``, the spans of the planning calls.
     """
     from repro.optimizer.planner import Planner
     from repro.storage.registry import get_process_registry
@@ -68,6 +70,7 @@ def plan_queries(scale: float, query_ids: list[str], traced: bool) -> tuple[dict
         database = get_process_registry().get(_spec(scale))
         workload = build_job_workload(database.schema)
         planner = Planner(database)
+        query_ids = workload.query_ids()[part::PLANNERS]
         plans = {qid: planner.plan_with_info(workload.by_id(qid).bound) for qid in query_ids}
     finally:
         tracer.uninstall()
@@ -75,16 +78,19 @@ def plan_queries(scale: float, query_ids: list[str], traced: bool) -> tuple[dict
 
 
 def set_up(scale: float, traced: bool) -> tuple[object, object, dict, list[list]]:
-    """Build the database and plan every query (the planning processes have ended on return)."""
+    """Build the database and plan every query (the planning processes have ended on return).
+
+    The planning processes fork before this process builds its database, so
+    that they do not inherit its pages.
+    """
     from repro.storage.registry import DatabaseRegistry
     from repro.workloads import build_job_workload
 
-    database = DatabaseRegistry().get(_spec(scale))
-    workload = build_job_workload(database.schema)
-    ids = workload.query_ids()
-    context = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=PLANNERS, mp_context=context) as pool:
-        futures = [pool.submit(plan_queries, scale, ids[i::PLANNERS], traced) for i in range(PLANNERS)]
+        futures = [pool.submit(plan_queries, scale, part, traced) for part in range(PLANNERS)]
+        database = DatabaseRegistry().get(_spec(scale))
+        workload = build_job_workload(database.schema)
         parts = [future.result() for future in futures]
     plans = {qid: result for part_plans, _ in parts for qid, result in part_plans.items()}
     return database, workload, plans, concat(*(part_spans for _, part_spans in parts))
@@ -99,7 +105,8 @@ def warm_up(protocol, workload, plans: dict) -> None:
 def timed_passes(protocol, workload, plans: dict, seconds: float, outcome: Outcome, probe: SpeedProbe) -> dict:
     """``seconds / PASS_S`` whole passes over the workload (at least one).
 
-    The speed is probed in this thread before and after every pass;
+    Each query's protocol call is timed in wall and in thread CPU time.  The
+    speed is probed in this thread before and after every pass;
     :func:`normalize` then adds the speed-normalized figures.
     """
     last_times: dict[str, list[float]] = {}
@@ -108,32 +115,42 @@ def timed_passes(protocol, workload, plans: dict, seconds: float, outcome: Outco
     probe.sample()
     for _ in range(passes):
         protocol.engine.timing.reseed(NOISE_SEED)
-        pass_ms: list[float] = []
-        started = time.perf_counter()
+        wall_ms: list[float] = []
+        cpu_ms: list[float] = []
+        started, cpu_started = time.perf_counter(), time.thread_time()
         for query in workload.queries:
             outcome.attempted += 1
-            begin = time.perf_counter()
+            begin, cpu_begin = time.perf_counter(), time.thread_time()
             try:
                 measured = protocol.measure_plan(query.bound, plans[query.query_id].plan)
             except MemoryError:
                 outcome.failed += 1
                 continue
-            pass_ms.append((time.perf_counter() - begin) * 1000.0)
+            cpu_ms.append((time.thread_time() - cpu_begin) * 1000.0)
+            wall_ms.append((time.perf_counter() - begin) * 1000.0)
             last_times[query.query_id] = measured.execution_times_ms
-        windows.append((started, time.perf_counter(), pass_ms))
+        windows.append({"started": started, "ended": time.perf_counter(), "cpu_s": time.thread_time() - cpu_started,
+                        "wall_ms": wall_ms, "cpu_ms": cpu_ms})
         probe.sample()
     return {"windows": windows, "passes": passes, "times": last_times}
 
 
 def normalize(region: dict, probe: SpeedProbe) -> None:
-    """Add a region's totals and latencies, measured and divided by each pass's speed factor (``norm_*``)."""
-    region.update(wall_s=0.0, norm_wall_s=0.0, latencies_ms=[], norm_latencies_ms=[])
-    for started, ended, pass_ms in region["windows"]:
-        factor = probe.factor(started, ended)
-        region["wall_s"] += ended - started
-        region["norm_wall_s"] += (ended - started) / factor
-        region["latencies_ms"] += pass_ms
-        region["norm_latencies_ms"] += [ms / factor for ms in pass_ms]
+    """Add a region's totals and latencies: measured wall time, and CPU time divided by each pass's speed factor.
+
+    The normalized figures (``norm_*``) count CPU time, because when the
+    host gives the benchmark only part of a core for a while, wall times
+    stretch and the speed probe, which counts CPU time, does not see it.
+    """
+    region.update(wall_s=0.0, norm_cpu_s=0.0, latencies_ms=[], cpu_latencies_ms=[], norm_latencies_ms=[], factors=[])
+    for window in region["windows"]:
+        factor = probe.factor(window["started"], window["ended"])
+        region["factors"].append(factor)
+        region["cpu_latencies_ms"] += window["cpu_ms"]
+        region["wall_s"] += window["ended"] - window["started"]
+        region["norm_cpu_s"] += window["cpu_s"] / factor
+        region["latencies_ms"] += window["wall_ms"]
+        region["norm_latencies_ms"] += [ms / factor for ms in window["cpu_ms"]]
 
 
 def check_oracle(outcome: Outcome, database, workload, plans: dict, times: dict) -> None:
@@ -189,13 +206,15 @@ def run(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE) -> No
     summary = summarize(region["norm_latencies_ms"])
     count = len(region["latencies_ms"])
     outcome.put("setup_s", setup_cpu / setup_speed, "s")
-    outcome.put("ops_per_s", count / region["norm_wall_s"], "1/s")
+    outcome.put("ops_per_s", count / region["norm_cpu_s"], "1/s")
     outcome.put("latency_p50_ms", summary["p50"], "ms")
     outcome.put("latency_tail_ms", summary["tail"], "ms")
     outcome.put("peak_rss_mb", peak_rss_mb(), "MB")
     outcome.note(f"job-exec: {region['passes']} passes of {len(workload.queries)} queries in "
                  f"{region['wall_s']:.3f} s ({count / region['wall_s']:.2f} queries/s measured); "
-                 f"per query {describe(raw)} measured, {describe(summary)} normalized")
+                 f"per query {describe(raw)} measured, {describe(summary)} normalized CPU time")
+    outcome.note(f"CPU time per query p50 {summarize(region['cpu_latencies_ms'])['p50']:.4g} ms unnormalized; "
+                 f"pass speed factors {', '.join(f'{f:.3f}' for f in region['factors'])}")
     outcome.note(f"set-up: {ended - started:.3f} s measured, {setup_cpu:.3f} CPU s at speed factor {setup_speed:.3f}")
     outcome.details["latencies_ms"] = region["latencies_ms"]
 
@@ -222,7 +241,7 @@ def run_traced(seed: int, seconds: float, outcome: Outcome, scale: float = SCALE
     metrics = span_metrics(concat(setup_spans, region_spans))
     region = span_metrics(region_spans)
     metrics.update({key: value for key, value in region.items() if key.startswith("layer.")})
-    per_query = [r["norm_wall_s"] / len(r["latencies_ms"]) for r in (plain, traced)]
+    per_query = [r["norm_cpu_s"] / len(r["latencies_ms"]) for r in (plain, traced)]
     metrics["trace.wall_s"] = traced["wall_s"]
     metrics["trace.overhead_ratio"] = per_query[1] / per_query[0] - 1.0
     for name, value in metrics.items():

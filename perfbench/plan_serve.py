@@ -9,7 +9,7 @@ its cache with the 1024 most popular queries.
 
 The timed region is a fixed doubling ladder of offered rates.  Every step
 sends the same number of requests, sized so that the ladder's schedule
-takes the run's seconds (1067 each for ten seconds, enough for a p99 with
+takes the run's seconds (2133 each for twenty seconds, enough for a p99 with
 ten samples beyond it), with one ``invalidate`` op (a catalog change)
 halfway through.  A step *holds* when its p99 latency, timed from each
 request's due time, stays within ``P99_LIMIT_MS``, nothing is rejected or
@@ -30,7 +30,10 @@ the top two steps and the highest step that holds are printed beside it;
 when the host gave the benchmark half its CPU for a while, the wall-clock
 rate halved, and the highest step that holds flips between adjacent steps
 as the machine's speed drifts.  ``setup_s`` is likewise the CPU time of set-up in both
-processes.  Both are divided by the speed factor sampled beside them.
+processes.  Both are divided by the speed factor sampled beside them.  The
+latency metrics are not: the probe process's samples do not follow the
+server's latency: over five runs the p50 spread by 9% divided by them and
+by 7% without.
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ OVERLOADED_STEPS = 2
 #: The ladder rate of the generator-lateness and tracing-overhead figures.
 FIXED_RATE = 200
 
-#: Ladder rates, both below what the server can serve, whose server-side
-#: latencies give the latency metrics (two steps: twice the samples beyond
-#: the p99 of one).
-TAIL_RATES = (200, 400)
+#: Ladder rates whose server-side latencies give the latency metrics.  Only
+#: the lowest: the server serves 500-600 qps, so at 400 qps it queues when
+#: other tenants slow the machine, and with that step included the p90 spread
+#: by 23% over ten runs.
+TAIL_RATES = (200,)
 
 #: Percentile of the server's latency that is ``latency_tail_ms``.  Not the
 #: p99 the sample would allow: preemption by other tenants of the machine
@@ -256,15 +260,14 @@ def _e2e(outcome: Outcome, steps: list[dict]) -> None:
     holding = [step["rate"] for step in steps if step["holds"]]
     overloaded = steps[-OVERLOADED_STEPS:]
     below = [step for step in steps if step["rate"] in TAIL_RATES]
-    speed = sum(step["speed"] for step in below) / len(below)
     samples = sorted(r.served.server_latency_ms for step in below for r in step["records"] if r.kind == "plan" and r.ok)
     server_latency = summarize(samples)
     served = sum(r.ok for step in steps for r in step["records"])
     cpu = sum(step["cpu_s"] / step["speed"] for step in steps)
     sustained = sum(s["requests"] for s in overloaded) / sum(s["span_s"] for s in overloaded)
     outcome.put("ops_per_s", served / cpu, "1/s")
-    outcome.put("latency_p50_ms", server_latency["p50"] / speed, "ms")
-    outcome.put("latency_tail_ms", percentile(samples, TAIL_PCT) / speed, "ms")
+    outcome.put("latency_p50_ms", server_latency["p50"], "ms")
+    outcome.put("latency_tail_ms", percentile(samples, TAIL_PCT), "ms")
     outcome.note(f"requests per CPU second of clients + server: {outcome.metrics['ops_per_s'][0]:.1f} over the "
                  f"ladder ({served} requests, {cpu:.3f} normalized CPU s)")
     outcome.note(f"highest ladder step that holds: {holding[-1] if holding else 'none'} qps; "

@@ -1,6 +1,6 @@
 """Benchmark entry point: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload lqo-sweep --seed 0 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload lqo-sweep --seed 0 --seconds 20 --trace 0
 
 Workloads: ``lqo-sweep``, ``job-exec`` and ``plan-serve`` (see their modules).
 With ``--trace 0`` the run is untraced and the result line carries the
